@@ -15,6 +15,11 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.synth.calibration import PortProfile
 
+#: Painted ticks per ``np.maximum.at`` call in
+#: :func:`correlated_utilization`; bounds the temporary index arrays so
+#: memory stays flat however many bursts a window holds.
+PAINT_BATCH_TICKS = 16_384
+
 
 @dataclass(slots=True)
 class OnOffSeries:
@@ -124,37 +129,84 @@ def correlated_utilization(
     if n_members <= 0:
         raise ConfigError("need at least one member")
     generator = OnOffGenerator(profile)
+    tick_noise = profile.intensity.tick_noise
     util = np.zeros((n_ticks, n_members))
-    hot = np.zeros((n_ticks, n_members), dtype=bool)
-
-    def paint(member: int, start: int, length: int, intensity: float) -> None:
-        stop = start + length
-        noise = rng.normal(0.0, profile.intensity.tick_noise, size=stop - start)
-        segment = np.clip(intensity + noise, 0.501, 1.0)
-        util[start:stop, member] = np.maximum(util[start:stop, member], segment)
-        hot[start:stop, member] = True
-
+    # Consecutive normal draws merge into one call without changing the
+    # stream: one call covers a shared burst for every joining member,
+    # and one covers all of a member's kept private bursts.
     if shared_fraction > 0.0 and participation > 0.0 and n_members > 1:
         starts, lengths = generator.generate_mask_runs(n_ticks, rng)
         intensities = profile.intensity.sample(rng, len(starts))
-        for index in range(len(starts)):
-            members = np.flatnonzero(rng.random(n_members) < participation)
-            for member in members:
-                paint(int(member), int(starts[index]), int(lengths[index]), float(intensities[index]))
+        joined = np.empty((len(starts), n_members), dtype=bool)
+        noise: list[np.ndarray] = []
+        for index, length in enumerate(lengths.tolist()):
+            joined[index] = rng.random(n_members) < participation
+            count = np.count_nonzero(joined[index])
+            if count:
+                noise.append(rng.normal(0.0, tick_noise, size=count * length))
+        if noise:
+            burst, members = np.nonzero(joined)
+            _paint_bursts(
+                util,
+                members,
+                starts[burst],
+                lengths[burst],
+                intensities[burst],
+                np.concatenate(noise),
+            )
 
     private_share = 1.0 - shared_fraction if n_members > 1 else 1.0
     if private_share > 0.0:
         for member in range(n_members):
             starts, lengths = generator.generate_mask_runs(n_ticks, rng)
             keep = np.flatnonzero(rng.random(len(starts)) < private_share)
-            intensities = profile.intensity.sample(rng, len(keep))
-            for intensity, index in zip(intensities, keep):
-                paint(member, int(starts[index]), int(lengths[index]), float(intensity))
+            if len(keep):
+                intensities = profile.intensity.sample(rng, len(keep))
+                lengths = lengths[keep]
+                _paint_bursts(
+                    util,
+                    np.full(len(keep), member),
+                    starts[keep],
+                    lengths,
+                    intensities,
+                    rng.normal(0.0, tick_noise, size=int(lengths.sum())),
+                )
 
+    # Painted values are clipped to >= 0.501, so painted means hot.
+    hot = util > 0.0
     for member in range(n_members):
         cold = ~hot[:, member]
         util[cold, member] = profile.cold.sample(rng, int(cold.sum()))
     return util, hot
+
+
+def _paint_bursts(
+    util: np.ndarray,
+    members: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    intensities: np.ndarray,
+    noise: np.ndarray,
+) -> None:
+    """Paint bursts onto a (n_ticks, n_members) matrix as a running max.
+
+    Burst ``r`` covers ticks ``starts[r] : starts[r] + lengths[r]`` of
+    column ``members[r]`` with ``clip(intensities[r] + noise, 0.501, 1)``,
+    its noise being the next ``lengths[r]`` entries of ``noise``.  A
+    maximum does not depend on the order of paints, so the bursts' ticks
+    are applied with ``np.maximum.at`` in slices of ``PAINT_BATCH_TICKS``
+    wherever the slice edges fall, which keeps memory flat.
+    """
+    flat = util.reshape(-1)
+    ends = np.cumsum(lengths)
+    offsets = starts - (ends - lengths)
+    for low in range(0, len(noise), PAINT_BATCH_TICKS):
+        position = np.arange(low, min(low + PAINT_BATCH_TICKS, len(noise)))
+        burst = np.searchsorted(ends, position, side="right")
+        ticks = position + offsets[burst]
+        values = intensities[burst] + noise[low : low + PAINT_BATCH_TICKS]
+        np.clip(values, 0.501, 1.0, out=values)
+        np.maximum.at(flat, ticks * util.shape[1] + members[burst], values)
 
 
 def correlated_masks(

@@ -10,6 +10,8 @@ the real sampler produces.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,31 +77,91 @@ def _ecmp_weight_segments(
             raise ConfigError("at least one link must have positive weight")
         probabilities = link_weights / total
 
-    def choose_links(count: int) -> np.ndarray:
-        return rng.choice(n_links, size=count, p=probabilities)
+    # rng.choice(n_links, size=k, p=probabilities) is exactly this CDF
+    # search over rng.random(k), minus the per-call validation.
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    cdf_list = cdf.tolist()
 
-    links = choose_links(n_flows)
-    weights = rng.gamma(weight_shape, 1.0, size=n_flows)
-    deaths = rng.exponential(mean_lifetime_ticks, size=n_flows)
-    shares = np.empty((n_ticks, n_links))
+    first_links = cdf.searchsorted(rng.random(n_flows), side="right")
+    first_weights = rng.gamma(weight_shape, 1.0, size=n_flows)
+    lifetimes = rng.exponential(mean_lifetime_ticks, size=n_flows).tolist()
+    # Remaining lifetimes, kept sorted with the flows they belong to.
+    # Subtracting one elapsed span from every entry keeps the order, so
+    # the next death is the head and the dead are a prefix.
+    by_death = sorted(range(n_flows), key=lifetimes.__getitem__)
+    deaths = [lifetimes[flow] for flow in by_death]
+    # Draws stay per segment between flow deaths, because a segment's end
+    # depends on the previous exponential draws.  Each replacement is
+    # logged as (flow, first segment it applies to, link, weight); a
+    # single death takes the scalar path, which consumes the same stream
+    # as a size-1 array draw.
+    log_flow: list[int] = []
+    log_segment: list[int] = []
+    log_link: list[int] = []
+    log_weight: list[float] = []
+    spans: list[int] = []
+    bisect_right = bisect.bisect_right
+    random, gamma, exponential = rng.random, rng.gamma, rng.exponential
     t = 0
     while t < n_ticks:
-        next_death = float(deaths.min())
-        segment_end = min(n_ticks, int(np.ceil(next_death)) + t) if next_death > 0 else t + 1
+        next_death = deaths[0]
+        segment_end = min(n_ticks, math.ceil(next_death) + t) if next_death > 0 else t + 1
         segment_end = max(segment_end, t + 1)
-        link_weights = np.bincount(links, weights=weights, minlength=n_links)
-        total = link_weights.sum()
-        shares[t:segment_end] = link_weights / total if total > 0 else 1.0 / n_links
         elapsed = segment_end - t
-        deaths -= elapsed
-        dead = deaths <= 0
-        n_dead = int(dead.sum())
-        if n_dead:
-            links[dead] = choose_links(n_dead)
-            weights[dead] = rng.gamma(weight_shape, 1.0, size=n_dead)
-            deaths[dead] = rng.exponential(mean_lifetime_ticks, size=n_dead)
+        spans.append(elapsed)
+        # Repeated subtraction, not absolute death times: those round
+        # differently.
+        deaths = [death - elapsed for death in deaths]
+        n_dead = bisect_right(deaths, 0.0)
+        if n_dead == 1:
+            flow = by_death.pop(0)
+            del deaths[0]
+            log_flow.append(flow)
+            log_segment.append(len(spans))
+            log_link.append(bisect_right(cdf_list, random()))
+            log_weight.append(gamma(weight_shape, 1.0))
+            lifetime = exponential(mean_lifetime_ticks)
+            at = bisect_right(deaths, lifetime)
+            deaths.insert(at, lifetime)
+            by_death.insert(at, flow)
+        elif n_dead:
+            dead = sorted(by_death[:n_dead])
+            del by_death[:n_dead], deaths[:n_dead]
+            log_flow.extend(dead)
+            log_segment.extend([len(spans)] * n_dead)
+            log_link.extend(cdf.searchsorted(random(n_dead), side="right").tolist())
+            log_weight.extend(gamma(weight_shape, 1.0, size=n_dead).tolist())
+            lifetimes = exponential(mean_lifetime_ticks, size=n_dead).tolist()
+            for flow, lifetime in zip(dead, lifetimes):
+                at = bisect_right(deaths, lifetime)
+                deaths.insert(at, lifetime)
+                by_death.insert(at, flow)
         t = segment_end
-    return shares
+
+    # Per-segment link totals, accumulated flow by flow in flow order
+    # exactly as np.bincount(links, weights) does for one segment.
+    n_segments = len(spans)
+    flows = np.array(log_flow, dtype=np.int64)
+    segments = np.array(log_segment, dtype=np.int64)
+    new_links = np.array(log_link, dtype=np.int64)
+    new_weights = np.array(log_weight, dtype=np.float64)
+    order = np.argsort(flows, kind="stable")
+    bounds = np.searchsorted(flows[order], np.arange(n_flows + 1))
+    segment_index = np.arange(n_segments)
+    rows = np.zeros((n_segments, n_links))
+    for flow in range(n_flows):
+        events = order[bounds[flow] : bounds[flow + 1]]
+        held = np.diff(np.concatenate(([0], segments[events], [n_segments])))
+        links = np.repeat(np.concatenate(([first_links[flow]], new_links[events])), held)
+        weights = np.repeat(np.concatenate(([first_weights[flow]], new_weights[events])), held)
+        rows[segment_index, links] += weights
+    totals = rows.sum(axis=1, keepdims=True)
+    idle = totals[:, 0] <= 0
+    rows[idle] = 1.0  # an all-zero segment gets 1.0 / n_links per link
+    totals[idle] = n_links
+    rows /= totals
+    return np.repeat(rows, spans, axis=0)
 
 
 @dataclass(slots=True)
@@ -306,10 +368,14 @@ class RackSynthesizer:
             rng,
             link_weights=capacity_factors,
         )
-        multiplier = np.clip(self.n_uplinks * shares, 0.0, 2.0)
+        # In place, in the order (baseline * multiplier) * noise.
+        util = shares
+        util *= self.n_uplinks
+        np.clip(util, 0.0, 2.0, out=util)
         noise = rng.lognormal(0.0, ecmp.tick_noise, size=(n_ticks, self.n_uplinks))
-        util = baseline[:, None] * multiplier * noise
-        return np.clip(util, 0.0, 1.0)
+        util *= baseline[:, None]
+        util *= noise
+        return np.clip(util, 0.0, 1.0, out=util)
 
     # -- full window -----------------------------------------------------------
 
