@@ -42,18 +42,34 @@ def run(
         durations = np.concatenate(
             [extract_bursts_from_trace(trace).durations_ns for trace in traces]
         )
+        single_paper = PAPER.fig3_single_period_fraction_min.get(app)
+        rows = [
+            (
+                f"{app}: p90 burst duration (us)",
+                f"<= {to_us(PAPER.fig3_p90_burst_duration_ns[app]):.0f}",
+            ),
+            (
+                f"{app}: single-period bursts",
+                f">= {single_paper:.2f}" if single_paper is not None else "(not stated)",
+            ),
+            (f"{app}: microburst (<1ms) share", f">= {PAPER.microburst_share_min}"),
+        ]
+        if len(durations) == 0:
+            # Short or quiet windows can hold no burst at all (one 40 ms
+            # netsim window per app often does); a CDF of nothing is
+            # undefined, so the app's rows say so instead of raising.
+            for metric, paper in rows:
+                result.add(metric, paper, "n/a (0 bursts)")
+            result.notes.append(f"{app}: no bursts in the sampled windows, no duration CDF")
+            continue
         cdf = EmpiricalCdf(durations.astype(np.float64))
-        single = float((durations == 25_000).mean())
-        micro = float((durations < 1_000_000).mean())
-        result.add(
-            f"{app}: p90 burst duration (us)",
-            f"<= {to_us(PAPER.fig3_p90_burst_duration_ns[app]):.0f}",
+        measured = (
             round(to_us(int(cdf.p90)), 1),
+            round(float((durations == 25_000).mean()), 3),
+            round(float((durations < 1_000_000).mean()), 3),
         )
-        result.add(f"{app}: single-period bursts",
-                   f">= {PAPER.fig3_single_period_fraction_min.get(app, 0.0):.2f}" if app in PAPER.fig3_single_period_fraction_min else "(not stated)",
-                   round(single, 3))
-        result.add(f"{app}: microburst (<1ms) share", f">= {PAPER.microburst_share_min}", round(micro, 3))
+        for (metric, paper), value in zip(rows, measured):
+            result.add(metric, paper, value)
         result.add_series(
             f"{app}_duration_cdf_us",
             [(x / 1000.0, f) for x, f in cdf_series(cdf)],
