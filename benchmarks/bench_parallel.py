@@ -23,7 +23,7 @@ from repro.core.kernels import (
     scalar_ecdf_probs,
     scalar_run_lengths,
 )
-from repro.core.parallel import ParallelCampaign
+from repro.core.campaign import MeasurementCampaign
 from repro.core.samples import CounterTrace, ValueKind
 from repro.core.traceio import _crc
 from repro.synth.dataset import SyntheticCampaignSource, default_plan
@@ -50,7 +50,7 @@ def run_parallel_campaign(workers):
     )
     source = SyntheticCampaignSource(seed=0)
     elapsed, result = timed(
-        lambda: ParallelCampaign(plan, source, workers=workers).run()
+        lambda: MeasurementCampaign(plan, source, workers=workers).run()
     )
     crcs = tuple(
         _crc(traces[name].values)

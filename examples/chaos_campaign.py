@@ -90,9 +90,9 @@ def main(argv=None) -> int:
                 plan, interrupted, retry=retry, checkpoint_dir=ckpt
             ).run()
         except KeyboardInterrupt:
-            n_done = sum(1 for _ in (ckpt / "manifest.jsonl").open())
+            n_done = len(list(ckpt.glob("window_*.json")))
             print(f"\ninterrupted after {interrupted.calls} collections "
-                  f"({n_done - 1} windows checkpointed)")
+                  f"({n_done} windows checkpointed)")
 
         resumed = MeasurementCampaign(
             plan, make_source(args.seed, args.rate)[0], retry=retry,

@@ -2,7 +2,7 @@
 
 One campaign pipeline, interchangeable data planes: the
 :class:`~repro.backends.base.MeasurementBackend` protocol is the seam
-between everything that *measures* (campaigns, the parallel runner,
+between everything that *measures* (campaigns at any worker count,
 fault injection, analysis) and whatever *produces the traffic* — the
 calibrated synthesiser (:class:`SynthBackend`) or the packet-level
 simulator (:class:`NetsimBackend`).  ``resolve_backend`` is the single

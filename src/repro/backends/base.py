@@ -80,9 +80,9 @@ class MeasurementBackend(Protocol):
 
     The byte-counter method :meth:`sample_window` makes every backend a
     valid :class:`~repro.core.campaign.WindowSource`, so backends plug
-    directly into :class:`~repro.core.campaign.MeasurementCampaign`,
-    :class:`~repro.core.parallel.ParallelCampaign`, and
-    :class:`~repro.faults.FaultyWindowSource` unchanged.  The remaining
+    directly into :class:`~repro.core.campaign.MeasurementCampaign` (at
+    any worker count) and :class:`~repro.faults.FaultyWindowSource`
+    unchanged.  The remaining
     methods cover the paper's other two counter families (packet-size
     histograms, the shared-buffer watermark) plus the whole-rack
     utilization view the cross-port figures need.

@@ -22,10 +22,11 @@ from repro.core.campaign import (
     CampaignWindow,
     MeasurementCampaign,
     RetryPolicy,
+    Shard,
     WindowOutcome,
     WindowStatus,
+    shard_plan,
 )
-from repro.core.parallel import ParallelCampaign, Shard, shard_plan
 from repro.core.seeding import site_rng, stable_site_key, window_rng
 from repro.core.snmp import CoarseSample, coarse_resample
 from repro.core.adaptive import AdaptiveConfig, AdaptiveSampler, AdaptiveStats
@@ -52,7 +53,6 @@ __all__ = [
     "RetryPolicy",
     "WindowOutcome",
     "WindowStatus",
-    "ParallelCampaign",
     "Shard",
     "shard_plan",
     "site_rng",

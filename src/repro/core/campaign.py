@@ -8,9 +8,43 @@ variation while respecting data-retention limits.
 Collection is *resilient*: the measurement plane is best-effort by design
 (Table 1), so :class:`MeasurementCampaign` treats window failures as
 first-class — bounded retry with backoff, optional per-window timeouts,
-partial results with per-window status, and JSON-lines checkpointing so
-an interrupted 24-hour campaign resumes at the last completed window
-instead of being discarded.
+partial results with per-window status, and per-window checkpointing so
+an interrupted 24-hour campaign resumes at the windows it had not yet
+completed instead of being discarded.
+
+Execution
+---------
+The paper polls 30 ToR switches *concurrently*, and the campaign has the
+same shape.  :func:`shard_plan` splits the plan into (rack, window range)
+shards — a layout that depends only on the plan, never on the worker
+count — and every shard is collected by one function, in-process when
+``workers=1`` and in a ``ProcessPoolExecutor`` otherwise.  Serial is just
+the one-worker case; results are scattered back to plan order.
+
+Serial and parallel runs produce **byte-identical** traces because no
+randomness depends on execution order: window sources derive their
+per-window stream from ``(campaign_seed, rack_id, window_idx)`` and fault
+injectors from ``(plan_seed, site)`` (see :mod:`repro.core.seeding`).
+Backends are pickled to workers, so any mutable backend state is
+shard-local; a conforming backend must therefore key *all* randomness by
+window identity.  ``tests/integration/test_parallel_determinism.py``
+holds this contract at 1, 2 and 4 workers, under fault injection, and
+across checkpoint/resume.
+
+Checkpoint layout
+-----------------
+One flat directory keyed by the global window index:
+
+* ``checkpoint.json`` — header (``version``, ``plan_digest``,
+  ``n_windows``), written before any window is collected;
+* ``window_NNNNN.npz`` — the window's trace archive (absent for failed
+  windows);
+* ``window_NNNNN.json`` — the window's record (``status``, ``attempts``,
+  ``error``), written atomically after its archive.
+
+Nothing in it depends on shards or workers, so a checkpoint resumes at
+any worker count and any shard size.  A fresh run clears the layout's
+own files first; a directory holding anything else is refused.
 """
 
 from __future__ import annotations
@@ -18,8 +52,16 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import os
+import re
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    as_completed,
+    wait,
+)
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol
@@ -30,7 +72,7 @@ from repro.core.samples import CounterTrace
 from repro.core.traceio import load_traces, save_traces
 from repro.errors import AnalysisError, CollectionError, ConfigError, ReproError
 from repro.obs import get_logger
-from repro.telemetry.metrics import get_registry
+from repro.telemetry.metrics import get_registry, scoped_registry
 from repro.telemetry.spans import span
 from repro.units import NS_PER_S, seconds
 
@@ -243,8 +285,106 @@ class CampaignResult:
         return 1.0 - self.n_failed / len(self.plan.windows)
 
 
-#: Checkpoint manifest schema version.
-_MANIFEST_VERSION = 1
+@dataclass(frozen=True, slots=True)
+class Shard:
+    """One unit of work: a slice of the plan's windows.
+
+    ``indices`` are global window indices into ``plan.windows``,
+    ascending, so the merge step is a plain scatter.
+    """
+
+    shard_id: int
+    indices: tuple[int, ...]
+
+
+def shard_plan(
+    plan: CampaignPlan, max_windows_per_shard: int | None = None
+) -> tuple[Shard, ...]:
+    """Deterministic (rack, window-range) sharding of a campaign plan.
+
+    Windows are grouped by rack (racks in order of first appearance, each
+    rack's windows in plan order — the paper's one-poller-per-ToR
+    discipline), then optionally split into chunks of at most
+    ``max_windows_per_shard`` windows so a single giant rack can still
+    fan out.  The layout depends only on ``(plan, max_windows_per_shard)``
+    — never on worker count.
+    """
+    if max_windows_per_shard is not None and max_windows_per_shard <= 0:
+        raise ConfigError("max_windows_per_shard must be positive")
+    by_rack: dict[str, list[int]] = {}
+    for index, window in enumerate(plan.windows):
+        by_rack.setdefault(window.rack_id, []).append(index)
+    shards: list[Shard] = []
+    for indices in by_rack.values():
+        step = max_windows_per_shard or len(indices) or 1
+        for start in range(0, len(indices), step):
+            chunk = indices[start : start + step]
+            shards.append(Shard(shard_id=len(shards), indices=tuple(chunk)))
+    return tuple(shards)
+
+
+#: Checkpoint layout version, recorded in the ``checkpoint.json`` header.
+_CHECKPOINT_VERSION = 2
+_HEADER = "checkpoint.json"
+#: Every name the layout writes, including interrupted atomic-write temps.
+_LAYOUT_NAME = re.compile(
+    r"(?:checkpoint\.json|window_\d+\.(?:npz|json))(?:\.tmp-\d+(?:\.npz)?)?"
+)
+
+_ShardResult = tuple[
+    list[WindowOutcome], list[dict[str, CounterTrace]], dict[str, int] | None, dict
+]
+
+
+def _write_json_atomic(path: Path, record: dict) -> None:
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    tmp.write_text(json.dumps(record))
+    os.replace(tmp, path)
+
+
+def _fault_tally(backend: WindowSource) -> dict[str, int] | None:
+    """Fault-injection tally of a backend, when it carries an injector."""
+    stats = getattr(getattr(backend, "injector", None), "stats", None)
+    as_dict = getattr(stats, "as_dict", None)
+    return as_dict() if callable(as_dict) else None
+
+
+def _collect_shard(campaign: "MeasurementCampaign", shard: Shard) -> _ShardResult:
+    """Collect one shard's windows: the in-process loop body and the
+    process-pool entry point alike.
+
+    Module-level so it pickles; in a pool worker ``campaign`` (and its
+    backend) is a process-local copy, which keeps mutable backend state
+    shard-local.  Returns the outcomes and traces, the fault tally this
+    shard *added* (so in-process shards sharing one backend and pool
+    shards holding copies sum the same way), and the snapshot of a
+    :func:`~repro.telemetry.scoped_registry` holding exactly this
+    shard's telemetry for the parent to merge.
+    """
+    before = _fault_tally(campaign.backend) or {}
+    outcomes: list[WindowOutcome] = []
+    traces: list[dict[str, CounterTrace]] = []
+    with scoped_registry() as registry:
+        for index in shard.indices:
+            window = campaign.plan.windows[index]
+            with span(
+                "campaign.window", rack=window.rack_id, hour=window.hour
+            ) as window_span:
+                outcome, window_traces = campaign._run_window(index, window)
+                window_span.set_attr("status", outcome.status.value)
+            registry.counter(
+                f"campaign.windows_{outcome.status.value}",
+                "window collections by terminal status",
+            ).inc()
+            campaign._checkpoint_window(outcome, window_traces)
+            outcomes.append(outcome)
+            traces.append(window_traces)
+        snapshot = registry.snapshot()
+    after = _fault_tally(campaign.backend)
+    added = None
+    if after is not None:
+        added = {key: value - before.get(key, 0) for key, value in after.items()}
+    return outcomes, traces, added, snapshot
 
 
 class MeasurementCampaign:
@@ -256,16 +396,28 @@ class MeasurementCampaign:
         The schedule and the data plane to collect from — anything
         satisfying :class:`WindowSource` (a full
         :class:`repro.backends.MeasurementBackend`, a bare synthetic
-        source, or a fault-injecting wrapper around either).
+        source, or a fault-injecting wrapper around either).  With more
+        than one worker the backend must be picklable and must derive all
+        randomness from window identity (see module docstring).
     retry:
         Retry policy for failed windows.  ``None`` keeps the historical
         fail-fast behaviour (one attempt, errors propagate).
     checkpoint_dir:
-        When set, every completed window is persisted there (a JSON-lines
-        manifest plus one trace archive per window) and
-        ``run(resume=True)`` restarts after the last completed window.
+        When set, every completed window is persisted there (see the
+        module docstring for the layout) and ``run(resume=True)``
+        re-collects only the windows it does not hold.
+    workers:
+        Process count.  ``1`` collects the shards in-process, one after
+        another (no pickling requirement); results and checkpoints are
+        the same at every worker count.
+    max_windows_per_shard:
+        Optional cap splitting one rack's windows across several shards.
     sleep:
         Injectable backoff sleep (tests pass a no-op).
+
+    After :meth:`run`, :attr:`fault_stats` holds the fault tally of the
+    windows that run collected when the backend carries a
+    :class:`~repro.faults.FaultInjector` (``None`` otherwise).
     """
 
     def __init__(
@@ -274,99 +426,113 @@ class MeasurementCampaign:
         backend: WindowSource,
         retry: RetryPolicy | None = None,
         checkpoint_dir: str | Path | None = None,
+        workers: int = 1,
+        max_windows_per_shard: int | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        if workers <= 0:
+            raise ConfigError(f"workers must be positive, got {workers}")
         self.plan = plan
         self.backend = backend
         self.retry = retry
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
+        self.workers = workers
+        self.shards = shard_plan(plan, max_windows_per_shard)
+        self.fault_stats: dict[str, int] | None = None
         self._sleep = sleep
 
-    @property
-    def source(self) -> WindowSource:
-        """Backward-compatible alias for :attr:`backend`."""
-        return self.backend
-
     # -- checkpointing -----------------------------------------------------------
-
-    @property
-    def _manifest_path(self) -> Path:
-        assert self.checkpoint_dir is not None
-        return self.checkpoint_dir / "manifest.jsonl"
 
     def _trace_path(self, index: int) -> Path:
         assert self.checkpoint_dir is not None
         return self.checkpoint_dir / f"window_{index:05d}.npz"
 
-    def _load_checkpoint(self) -> dict[int, WindowOutcome]:
-        """Replay the manifest; corrupt entries are re-collected."""
-        done: dict[int, WindowOutcome] = {}
-        if self.checkpoint_dir is None or not self._manifest_path.exists():
-            return done
-        digest = self.plan.digest()
-        with self._manifest_path.open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("kind") == "header":
-                    if record.get("plan_digest") != digest:
-                        raise CollectionError(
-                            f"checkpoint at {self.checkpoint_dir} belongs to a "
-                            "different campaign plan "
-                            f"({record.get('plan_digest')} != {digest})"
-                        )
-                    continue
-                index = int(record["index"])
-                if not 0 <= index < len(self.plan.windows):
-                    raise CollectionError(
-                        f"checkpoint references window {index} outside the plan"
-                    )
-                done[index] = WindowOutcome(
-                    index=index,
-                    window=self.plan.windows[index],
-                    status=WindowStatus(record["status"]),
-                    attempts=int(record.get("attempts", 1)),
-                    error=record.get("error", ""),
-                )
-        return done
+    def _record_path(self, index: int) -> Path:
+        assert self.checkpoint_dir is not None
+        return self.checkpoint_dir / f"window_{index:05d}.json"
 
-    def _append_manifest(self, record: dict) -> None:
-        with self._manifest_path.open("a") as handle:
-            handle.write(json.dumps(record) + "\n")
+    def _open_checkpoint(
+        self, resume: bool
+    ) -> dict[int, tuple[WindowOutcome, dict[str, CounterTrace]]]:
+        """Validate the checkpoint directory and return the windows it
+        restores; a fresh run (or a resume of a missing or empty
+        directory) clears the layout's files and writes a new header."""
+        ckpt = self.checkpoint_dir
+        if ckpt is None:
+            return {}
+        names = sorted(p.name for p in ckpt.iterdir()) if ckpt.is_dir() else []
+        foreign = [name for name in names if not _LAYOUT_NAME.fullmatch(name)]
+        if foreign:
+            raise CollectionError(
+                f"checkpoint directory {ckpt} holds entries outside the checkpoint "
+                f"layout ({', '.join(foreign[:3])}); refusing to use it"
+            )
+        header = {
+            "version": _CHECKPOINT_VERSION,
+            "plan_digest": self.plan.digest(),
+            "n_windows": len(self.plan.windows),
+        }
+        if resume and names:
+            try:
+                existing = json.loads((ckpt / _HEADER).read_text())
+            except (OSError, ValueError) as exc:
+                raise CollectionError(
+                    f"checkpoint directory {ckpt} has no readable {_HEADER}: {exc}"
+                ) from exc
+            for key, value in header.items():
+                found = existing.get(key) if isinstance(existing, dict) else None
+                if found != value:
+                    raise CollectionError(
+                        f"checkpoint at {ckpt} belongs to a different campaign plan "
+                        f"or layout ({key} {found} != {value})"
+                    )
+            return self._restore()
+        ckpt.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            if name != _HEADER:
+                (ckpt / name).unlink()
+        _write_json_atomic(ckpt / _HEADER, header)
+        return {}
+
+    def _restore(self) -> dict[int, tuple[WindowOutcome, dict[str, CounterTrace]]]:
+        """Windows with a readable record (and archive); a missing, torn
+        or damaged entry is left out and so re-collected."""
+        done: dict[int, tuple[WindowOutcome, dict[str, CounterTrace]]] = {}
+        for index, window in enumerate(self.plan.windows):
+            try:
+                record = json.loads(self._record_path(index).read_text())
+                status = WindowStatus(record["status"])
+                traces = load_traces(self._trace_path(index)) if status.has_traces else {}
+                outcome = WindowOutcome(
+                    index=index,
+                    window=window,
+                    status=status,
+                    attempts=int(record["attempts"]),
+                    error=str(record["error"]),
+                )
+            except (OSError, ValueError, KeyError, TypeError, ReproError):
+                continue
+            done[index] = (outcome, traces)
+        return done
 
     def _checkpoint_window(
         self, outcome: WindowOutcome, traces: dict[str, CounterTrace]
     ) -> None:
         if self.checkpoint_dir is None:
             return
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        if not self._manifest_path.exists():
-            self._append_manifest(
-                {
-                    "kind": "header",
-                    "version": _MANIFEST_VERSION,
-                    "plan_digest": self.plan.digest(),
-                    "n_windows": len(self.plan.windows),
-                }
-            )
-        trace_file = None
         if traces:
             archive = self._trace_path(outcome.index)
             save_traces(archive, traces)
-            trace_file = archive.name
             get_registry().counter(
                 "campaign.checkpoint_bytes", "bytes persisted to window checkpoints"
             ).inc(archive.stat().st_size)
-        self._append_manifest(
+        _write_json_atomic(
+            self._record_path(outcome.index),
             {
-                "index": outcome.index,
                 "status": outcome.status.value,
                 "attempts": outcome.attempts,
                 "error": outcome.error,
-                "trace_file": trace_file,
-            }
+            },
         )
 
     # -- collection --------------------------------------------------------------
@@ -445,48 +611,58 @@ class MeasurementCampaign:
     def run(self, resume: bool = False) -> CampaignResult:
         """Collect every window, tolerating per-window failures.
 
-        With ``resume=True`` (and a checkpoint directory) previously
-        completed windows are loaded from the checkpoint instead of being
-        re-collected; because sources and fault injectors are keyed by
-        window identity, a resumed run reproduces the traces an
-        uninterrupted run would have produced.
+        With ``resume=True`` (and a checkpoint directory) windows the
+        checkpoint holds are restored instead of re-collected; because
+        backends and fault injectors are keyed by window identity, a
+        resumed run reproduces the traces an uninterrupted run would
+        have produced, at any worker count.
         """
         registry = get_registry()
-        done = self._load_checkpoint() if resume else {}
-        traces_by_index: dict[int, dict[str, CounterTrace]] = {}
-        outcomes: list[WindowOutcome] = []
-        for index, outcome in list(done.items()):
-            if outcome.status.has_traces:
-                try:
-                    traces_by_index[index] = load_traces(self._trace_path(index))
-                except ReproError:
-                    # Damaged checkpoint entry: forget it and re-collect.
-                    del done[index]
-            else:
-                traces_by_index[index] = {}
+        restored = self._open_checkpoint(resume)
         registry.counter(
             "campaign.windows_resumed", "windows restored from checkpoint"
-        ).inc(len(done))
-        with span("campaign.run", n_windows=len(self.plan.windows), resumed=len(done)):
-            for index, window in enumerate(self.plan.windows):
-                if index in done:
-                    outcomes.append(done[index])
-                    continue
-                with span(
-                    "campaign.window", rack=window.rack_id, hour=window.hour
-                ) as window_span:
-                    outcome, window_traces = self._run_window(index, window)
-                    window_span.set_attr("status", outcome.status.value)
-                registry.counter(
-                    f"campaign.windows_{outcome.status.value}",
-                    "window collections by terminal status",
-                ).inc()
-                traces_by_index[index] = window_traces
-                outcomes.append(outcome)
-                self._checkpoint_window(outcome, window_traces)
-        outcomes.sort(key=lambda o: o.index)
+        ).inc(len(restored))
+        n = len(self.plan.windows)
+        outcomes = {index: outcome for index, (outcome, _) in restored.items()}
+        traces = {index: window_traces for index, (_, window_traces) in restored.items()}
+        pending = [
+            Shard(shard.shard_id, todo)
+            for shard in self.shards
+            if (todo := tuple(i for i in shard.indices if i not in restored))
+        ]
+        _log.debug(
+            "collecting %d windows in %d shards across %d workers",
+            n - len(restored), len(pending), self.workers,
+        )
+        self.fault_stats = None
+        with span("campaign.run", n_windows=n, resumed=len(restored)):
+            for shard_outcomes, shard_traces, tally, snapshot in self._execute(pending):
+                for outcome, window_traces in zip(shard_outcomes, shard_traces):
+                    outcomes[outcome.index] = outcome
+                    traces[outcome.index] = window_traces
+                if tally is not None:
+                    totals = self.fault_stats or {}
+                    self.fault_stats = {
+                        key: totals.get(key, 0) + value for key, value in tally.items()
+                    }
+                registry.merge_snapshot(snapshot)
+            registry.counter(
+                "parallel.shards_completed", "campaign shards merged"
+            ).inc(len(pending))
         return CampaignResult(
             plan=self.plan,
-            traces=[traces_by_index[i] for i in range(len(self.plan.windows))],
-            outcomes=outcomes,
+            traces=[traces[i] for i in range(n)],
+            outcomes=[outcomes[i] for i in range(n)],
         )
+
+    def _execute(self, shards: list[Shard]) -> Iterator[_ShardResult]:
+        """Shard results, in-process in plan order or from a process
+        pool in completion order."""
+        if self.workers == 1 or len(shards) <= 1:
+            for shard in shards:
+                yield _collect_shard(self, shard)
+            return
+        with ProcessPoolExecutor(max_workers=min(self.workers, len(shards))) as pool:
+            futures = [pool.submit(_collect_shard, self, shard) for shard in shards]
+            for future in as_completed(futures):
+                yield future.result()

@@ -3,8 +3,9 @@
 Every fig/tab experiment gets its data through the helpers here, which
 run the *campaign pipeline* over a :mod:`repro.backends` measurement
 backend: build a plan, execute it with
-:class:`~repro.core.campaign.MeasurementCampaign` (or the sharded
-parallel runner), and hand the traces/rack windows to analysis.  The
+:class:`~repro.core.campaign.MeasurementCampaign` (serial or sharded
+across processes by its ``workers`` argument), and hand the traces/rack
+windows to analysis.  The
 ``backend`` argument accepted throughout is a backend name
 (``"synth"`` / ``"netsim"``), an instance, or ``None`` for the synth
 default.
@@ -96,18 +97,13 @@ def app_byte_traces(
 
     A thin shim over the campaign pipeline: a
     :func:`~repro.backends.single_port_plan` executed against the
-    resolved backend.  ``workers > 1`` shards the campaign across
+    resolved backend.  More than one worker shards the campaign across
     processes; the backends' window-keyed seeding keeps the result
     byte-identical to the serial run.
     """
     resolved = resolve_backend(backend, seed=seed, tick_ns=tick_ns)
     plan = single_port_plan(app, n_windows, seconds(window_s), seed=seed)
-    if workers > 1:
-        from repro.core.parallel import ParallelCampaign
-
-        result = ParallelCampaign(plan, resolved, workers=workers).run()
-    else:
-        result = MeasurementCampaign(plan, resolved).run()
+    result = MeasurementCampaign(plan, resolved, workers=workers).run()
     traces: list[CounterTrace] = []
     for _window, window_traces in result.iter_windows():
         traces.extend(window_traces.values())

@@ -22,7 +22,6 @@ from repro.analysis.bursts import (
 from repro.analysis.cdf import EmpiricalCdf
 from repro.backends import resolve_backend
 from repro.core.campaign import MeasurementCampaign, RetryPolicy, WindowStatus
-from repro.core.parallel import ParallelCampaign
 from repro.experiments.common import ExperimentResult, app_byte_traces, backend_note
 from repro.faults import FaultInjector, FaultPlan, FaultyWindowSource
 from repro.synth.dataset import default_plan
@@ -59,18 +58,11 @@ def _chaos_campaign(
     # only relies on the ``sample_window`` protocol the campaign consumes.
     source = FaultyWindowSource(resolve_backend(backend, seed=seed), injector)
     retry = RetryPolicy(max_attempts=3, backoff_s=0.0)
-    if workers > 1:
-        campaign = ParallelCampaign(
-            plan, source, retry=retry, checkpoint_dir=checkpoint_dir, workers=workers
-        )
-        result = campaign.run(resume=resume)
-        fault_stats = campaign.fault_stats or {}
-    else:
-        result = MeasurementCampaign(
-            plan, source, retry=retry, checkpoint_dir=checkpoint_dir
-        ).run(resume=resume)
-        fault_stats = injector.stats.as_dict()
-    return result.status_counts(), result.completion_fraction, fault_stats
+    campaign = MeasurementCampaign(
+        plan, source, retry=retry, checkpoint_dir=checkpoint_dir, workers=workers
+    )
+    result = campaign.run(resume=resume)
+    return result.status_counts(), result.completion_fraction, campaign.fault_stats or {}
 
 
 def _degrade(traces, seed: int, loss_rate: float):

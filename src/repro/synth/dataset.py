@@ -140,7 +140,8 @@ def run_campaign(
 ):
     """Execute a plan against a measurement backend (synth by default).
 
-    ``workers > 1`` shards the plan by rack across a process pool; the
+    ``workers`` is the :class:`MeasurementCampaign` process count: above
+    one it shards the plan by rack across a process pool, and the
     per-window seeding contract of the backends guarantees the result is
     byte-identical to the serial run.  ``backend`` accepts a backend name
     (``"synth"`` / ``"netsim"``) or instance; ``None`` keeps the
@@ -152,8 +153,4 @@ def run_campaign(
         from repro.backends import resolve_backend
 
         resolved = resolve_backend(backend, seed=seed, tick_ns=tick_ns)
-    if workers > 1:
-        from repro.core.parallel import ParallelCampaign
-
-        return ParallelCampaign(plan, resolved, workers=workers).run()
-    return MeasurementCampaign(plan, resolved).run()
+    return MeasurementCampaign(plan, resolved, workers=workers).run()

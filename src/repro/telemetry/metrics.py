@@ -378,8 +378,8 @@ def set_enabled(flag: bool) -> None:
 def scoped_registry() -> Iterator["MetricsRegistry | NullRegistry"]:
     """Run a block against a fresh registry, restoring the previous one.
 
-    This is the shard boundary: ``repro.core.parallel._collect_shard``
-    wraps each shard's campaign in a scope so the returned snapshot
+    This is the shard boundary: ``repro.core.campaign._collect_shard``
+    wraps each shard's windows in a scope so the returned snapshot
     holds exactly that shard's increments — nothing inherited from a
     forked parent, nothing leaked between shards that share a worker
     process — and the parent merges the snapshots at join.

@@ -19,7 +19,6 @@ from repro.analysis.bursts import extract_bursts_from_trace
 from repro.backends import NetsimBackend, NetsimScale, SynthBackend
 from repro.backends.base import single_port_plan
 from repro.core.campaign import MeasurementCampaign, RetryPolicy, WindowStatus
-from repro.core.parallel import ParallelCampaign
 from repro.experiments.common import app_byte_traces
 from repro.faults import FaultInjector, FaultPlan, FaultyWindowSource
 from repro.synth.dataset import synthesize_app_windows
@@ -183,7 +182,7 @@ class TestNetsimThroughCampaign:
     def test_serial_vs_parallel_byte_identical(self):
         plan = self.plan(n_windows=2)
         serial = MeasurementCampaign(plan, self.smoke_backend()).run()
-        parallel = ParallelCampaign(plan, self.smoke_backend(), workers=2).run()
+        parallel = MeasurementCampaign(plan, self.smoke_backend(), workers=2).run()
         serial_traces = [t for _w, ts in serial.iter_windows() for t in ts.values()]
         parallel_traces = [t for _w, ts in parallel.iter_windows() for t in ts.values()]
         assert_traces_equal(serial_traces, parallel_traces)

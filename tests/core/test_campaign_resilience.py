@@ -265,3 +265,98 @@ class TestCheckpointResume:
         ).run(resume=True)
         assert source.calls == 1  # only the damaged window
         assert resumed.traces[1]  # and its data is back
+
+
+class TestCheckpointLayout:
+    """One flat layout (``checkpoint.json`` + per-window archive and
+    record); anything else in the directory is refused, never ignored."""
+
+    def test_layout_is_keyed_by_window_index(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        MeasurementCampaign(
+            make_plan(3),
+            FlakySource(fail_attempts={1: 99}),
+            retry=RetryPolicy(max_attempts=2, backoff_s=0),
+            checkpoint_dir=ckpt,
+        ).run()
+        assert sorted(p.name for p in ckpt.iterdir()) == [
+            "checkpoint.json",
+            "window_00000.json",
+            "window_00000.npz",
+            "window_00001.json",  # failed: a record, no archive
+            "window_00002.json",
+            "window_00002.npz",
+        ]
+
+    @pytest.mark.parametrize("resume", [False, True])
+    @pytest.mark.parametrize("stray", ["manifest.jsonl", "shards.json", "shard_000"])
+    def test_entries_outside_the_layout_refused(self, tmp_path, stray, resume):
+        plan = make_plan(3)
+        ckpt = tmp_path / "ckpt"
+        MeasurementCampaign(plan, FlakySource(), checkpoint_dir=ckpt).run()
+        if stray.startswith("shard_"):
+            (ckpt / stray).mkdir()
+        else:
+            (ckpt / stray).write_text("{}\n")
+        source = FlakySource()
+        with pytest.raises(CollectionError, match=str(ckpt)):
+            MeasurementCampaign(plan, source, checkpoint_dir=ckpt).run(resume=resume)
+        assert source.calls == 0
+        assert (ckpt / stray).exists()
+        assert (ckpt / "window_00002.npz").exists()
+
+    def test_resume_without_header_refused(self, tmp_path):
+        plan = make_plan(3)
+        ckpt = tmp_path / "ckpt"
+        MeasurementCampaign(plan, FlakySource(), checkpoint_dir=ckpt).run()
+        (ckpt / "checkpoint.json").unlink()
+        with pytest.raises(CollectionError, match=str(ckpt)):
+            MeasurementCampaign(plan, FlakySource(), checkpoint_dir=ckpt).run(
+                resume=True
+            )
+
+    @pytest.mark.parametrize("damage", ["torn", "garbage", "wrong-shape"])
+    def test_unreadable_window_record_recollected(self, tmp_path, damage):
+        plan = make_plan(3)
+        ckpt = tmp_path / "ckpt"
+        MeasurementCampaign(plan, FlakySource(), checkpoint_dir=ckpt).run()
+        record = ckpt / "window_00001.json"
+        record.write_text(
+            {
+                "torn": record.read_text()[:7],
+                "garbage": "\x00\x01",
+                "wrong-shape": '["ok", 1, ""]',
+            }[damage]
+        )
+        source = FlakySource()
+        resumed = MeasurementCampaign(
+            plan, source, retry=RetryPolicy(backoff_s=0), checkpoint_dir=ckpt
+        ).run(resume=True)
+        assert source.calls == 1  # only the window whose record was damaged
+        assert resumed.traces[1]
+        assert resumed.outcomes[1].status is WindowStatus.OK
+
+    @pytest.mark.parametrize("make_dir", [False, True])
+    def test_resume_of_missing_or_empty_directory_starts_fresh(self, tmp_path, make_dir):
+        ckpt = tmp_path / "ckpt"
+        if make_dir:
+            ckpt.mkdir()
+        source = FlakySource()
+        result = MeasurementCampaign(make_plan(3), source, checkpoint_dir=ckpt).run(
+            resume=True
+        )
+        assert source.calls == 3
+        assert result.completion_fraction == 1.0
+        assert (ckpt / "checkpoint.json").exists()
+
+    def test_fresh_run_replaces_a_previous_campaign(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        MeasurementCampaign(make_plan(4), FlakySource(), checkpoint_dir=ckpt).run()
+        plan = make_plan(2)
+        MeasurementCampaign(plan, FlakySource(), checkpoint_dir=ckpt).run()
+        # The old campaign's windows 2 and 3 are gone with its header ...
+        assert not list(ckpt.glob("window_0000[23].*"))
+        # ... and the new one resumes in full.
+        source = FlakySource()
+        MeasurementCampaign(plan, source, checkpoint_dir=ckpt).run(resume=True)
+        assert source.calls == 0

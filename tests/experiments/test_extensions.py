@@ -110,7 +110,7 @@ class TestExtChaos:
         )
         first = run_experiment("ext-chaos", **kwargs)
         resumed = run_experiment("ext-chaos", resume=True, **kwargs)
-        assert (tmp_path / "ckpt" / "manifest.jsonl").exists()
+        assert (tmp_path / "ckpt" / "checkpoint.json").exists()
         assert rows_dict(resumed)["windows ok / degraded / failed"] == rows_dict(
             first
         )["windows ok / degraded / failed"]

@@ -1,21 +1,22 @@
 """Golden determinism suite for sharded parallel campaigns.
 
-The contract under test (see ``repro.core.parallel``): a campaign run
+The contract under test (see ``repro.core.campaign``): a campaign run
 serially, with 2 workers, and with 4 workers produces **byte-identical**
 results — same trace bytes (compared via the traceio integrity CRCs),
 same per-window outcomes — including under injected faults and across
-checkpoint interrupt/resume at a *different* worker count.
+checkpoint interrupt/resume at a *different* worker count or shard size.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.campaign import MeasurementCampaign, RetryPolicy
-from repro.core.parallel import ParallelCampaign, shard_plan
+from repro.core.campaign import MeasurementCampaign, RetryPolicy, shard_plan
 from repro.core.traceio import _crc
 from repro.errors import CollectionError, ConfigError
 from repro.faults import FaultInjector, FaultPlan, FaultyWindowSource
+from repro.experiments import run_experiment
 from repro.synth.dataset import SyntheticCampaignSource, default_plan
+from repro.telemetry.metrics import scoped_registry
 from repro.units import seconds
 
 SEED = 7
@@ -75,7 +76,7 @@ class TestGoldenIdentity:
         serial = MeasurementCampaign(plan, clean_source()).run()
         golden = digest(serial)
         for workers in (1, 2, 4):
-            parallel = ParallelCampaign(
+            parallel = MeasurementCampaign(
                 plan, clean_source(), workers=workers
             ).run()
             assert digest(parallel) == golden, f"workers={workers} diverged"
@@ -91,7 +92,7 @@ class TestGoldenIdentity:
         golden, golden_outcomes = digest(serial), outcome_digest(serial)
         fault_stats = []
         for workers in (1, 4):
-            campaign = ParallelCampaign(
+            campaign = MeasurementCampaign(
                 plan, faulty_source(), retry=retry, workers=workers
             )
             parallel = campaign.run()
@@ -105,7 +106,7 @@ class TestGoldenIdentity:
     def test_max_windows_per_shard_does_not_change_results(self):
         plan = small_plan()
         golden = digest(MeasurementCampaign(plan, clean_source()).run())
-        chunked = ParallelCampaign(
+        chunked = MeasurementCampaign(
             plan, clean_source(), workers=2, max_windows_per_shard=1
         )
         assert len(chunked.shards) == len(plan.windows)
@@ -125,7 +126,7 @@ class TestCheckpointResume:
                 self.calls += 1
                 return self.inner.sample_window(window)
 
-        campaign = ParallelCampaign(
+        campaign = MeasurementCampaign(
             plan,
             Interrupting(clean_source()),
             retry=RetryPolicy(backoff_s=0.0),
@@ -140,10 +141,10 @@ class TestCheckpointResume:
         golden = digest(MeasurementCampaign(plan, clean_source()).run())
         ckpt = tmp_path / "ckpt"
         self.interrupt(plan, ckpt, stop_after=4)
-        # The interrupted run left per-shard checkpoints behind.
-        assert (ckpt / "shards.json").exists()
-        assert any(ckpt.glob("shard_*/manifest.jsonl"))
-        resumed = ParallelCampaign(
+        # The interrupted run left a header and per-window records behind.
+        assert (ckpt / "checkpoint.json").exists()
+        assert len(list(ckpt.glob("window_*.json"))) == 4
+        resumed = MeasurementCampaign(
             plan,
             clean_source(),
             retry=RetryPolicy(backoff_s=0.0),
@@ -159,38 +160,42 @@ class TestCheckpointResume:
             MeasurementCampaign(plan, faulty_source(), retry=retry).run()
         )
         ckpt = tmp_path / "ckpt"
-        first = ParallelCampaign(
+        first = MeasurementCampaign(
             plan, faulty_source(), retry=retry, checkpoint_dir=ckpt, workers=1
         )
         first.run()
         # Re-running with resume=True replays everything from checkpoint.
-        replayed = ParallelCampaign(
+        replayed = MeasurementCampaign(
             plan, faulty_source(), retry=retry, checkpoint_dir=ckpt, workers=4
         ).run(resume=True)
         assert digest(replayed) == golden
 
-    def test_resume_refuses_layout_change(self, tmp_path):
+    def test_resume_across_shard_size_change(self, tmp_path):
         plan = small_plan()
+        golden = digest(MeasurementCampaign(plan, clean_source()).run())
         ckpt = tmp_path / "ckpt"
-        ParallelCampaign(plan, clean_source(), checkpoint_dir=ckpt).run()
-        relaid = ParallelCampaign(
+        self.interrupt(plan, ckpt, stop_after=4)
+        relaid = MeasurementCampaign(
             plan,
             clean_source(),
             checkpoint_dir=ckpt,
             workers=2,
             max_windows_per_shard=1,
         )
-        with pytest.raises(CollectionError):
-            relaid.run(resume=True)
+        with scoped_registry() as registry:
+            resumed = relaid.run(resume=True)
+            counters = registry.snapshot()["counters"]
+        assert digest(resumed) == golden
+        assert counters["campaign.windows_resumed"] == 4
 
     def test_resume_refuses_different_plan(self, tmp_path):
         ckpt = tmp_path / "ckpt"
-        ParallelCampaign(small_plan(), clean_source(), checkpoint_dir=ckpt).run()
+        MeasurementCampaign(small_plan(), clean_source(), checkpoint_dir=ckpt).run()
         other = default_plan(
             racks_per_app=1, hours=3, window_duration_ns=seconds(0.2), seed=SEED + 9
         )
         with pytest.raises(CollectionError):
-            ParallelCampaign(
+            MeasurementCampaign(
                 other, clean_source(), checkpoint_dir=ckpt
             ).run(resume=True)
 
@@ -209,7 +214,7 @@ class TestShardLayout:
         plan = small_plan()
         assert shard_plan(plan) == shard_plan(plan)
         for campaign_workers in (1, 2, 4, 8):
-            campaign = ParallelCampaign(
+            campaign = MeasurementCampaign(
                 plan, clean_source(), workers=campaign_workers
             )
             assert campaign.shards == shard_plan(plan)
@@ -217,7 +222,7 @@ class TestShardLayout:
     def test_invalid_configuration_rejected(self):
         plan = small_plan()
         with pytest.raises(ConfigError):
-            ParallelCampaign(plan, clean_source(), workers=0)
+            MeasurementCampaign(plan, clean_source(), workers=0)
         with pytest.raises(ConfigError):
             shard_plan(plan, max_windows_per_shard=0)
 
@@ -229,3 +234,64 @@ def test_run_campaign_workers_flag_matches_serial():
     serial = run_campaign(plan, seed=SEED)
     parallel = run_campaign(plan, seed=SEED, workers=2)
     assert digest(parallel) == digest(serial)
+
+
+# -- ext-chaos end to end: one checkpoint layout at every worker count ----------
+
+#: ext-chaos reports the transient faults its *own* collections retried, so
+#: a run that restores every window from checkpoint reports 0 there.
+RETRY_ROW = "transient faults recovered by retry"
+
+
+def chaos(ckpt, workers, seed=0, resume=False):
+    """One small ext-chaos run (24 campaign windows) and its counters."""
+    with scoped_registry() as registry:
+        result = run_experiment(
+            "ext-chaos",
+            seed=seed,
+            n_windows=2,
+            window_s=0.5,
+            campaign_window_s=0.25,
+            checkpoint_dir=str(ckpt),
+            resume=resume,
+            workers=workers,
+        )
+        counters = registry.snapshot()["counters"]
+    return result.to_dict(), counters
+
+
+def split_retry_row(payload):
+    rows = [row for row in payload["rows"] if row["metric"] != RETRY_ROW]
+    (retry_row,) = [row for row in payload["rows"] if row["metric"] == RETRY_ROW]
+    return {**payload, "rows": rows}, retry_row["measured"]
+
+
+@pytest.mark.parametrize(
+    "written_at, resumed_at", [(1, 2), (2, 1)], ids=["serial-to-2", "2-to-serial"]
+)
+def test_ext_chaos_resumes_across_worker_counts(tmp_path, written_at, resumed_at):
+    ckpt = tmp_path / "ckpt"
+    uninterrupted, _ = chaos(ckpt, written_at)
+    resumed, counters = chaos(ckpt, resumed_at, resume=True)
+    assert counters["campaign.windows_resumed"] == 24
+    # Nothing was re-collected: the only windows collected are the two
+    # of the loss sweep, which runs without a checkpoint.
+    collected = sum(
+        counters.get(f"campaign.windows_{status}", 0)
+        for status in ("ok", "degraded", "failed")
+    )
+    assert collected == 2
+    expected, _ = split_retry_row(uninterrupted)
+    got, retried = split_retry_row(resumed)
+    assert got == expected
+    assert retried == "0"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fresh_run_into_used_checkpoint_then_resume(tmp_path, workers):
+    ckpt = tmp_path / "ckpt"
+    chaos(ckpt, workers, seed=0)
+    fresh, _ = chaos(ckpt, workers, seed=1)
+    resumed, counters = chaos(ckpt, workers, seed=1, resume=True)
+    assert counters["campaign.windows_resumed"] == 24
+    assert split_retry_row(resumed)[0] == split_retry_row(fresh)[0]

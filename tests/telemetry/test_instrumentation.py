@@ -21,7 +21,6 @@ from repro.core.campaign import (
 )
 from repro.core.collector import CollectorService
 from repro.core.counters import CounterKind, CounterSpec
-from repro.core.parallel import ParallelCampaign
 from repro.core.sampler import HighResSampler, SamplerConfig
 from repro.core.samples import CounterTrace, ValueKind
 from repro.core.traceio import load_traces, save_traces
@@ -57,7 +56,7 @@ class TestSerialParallelAgreement:
         plan = single_port_plan("web", 6, seconds(1), seed=3)
         backend = SynthBackend(seed=3)
         with scoped_registry() as registry:
-            campaign = ParallelCampaign(
+            campaign = MeasurementCampaign(
                 plan, backend, workers=workers, max_windows_per_shard=2
             )
             campaign.run()
