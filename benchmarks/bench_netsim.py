@@ -26,20 +26,16 @@ The artifact lands in ``benchmarks/artifacts/netsim_events_per_sec.json``
 (override the directory with ``REPRO_BENCH_ARTIFACT_DIR``).
 """
 
-import json
-import os
 import time
-import zlib
-from pathlib import Path
 
-from repro.backends import NetsimBackend, NetsimScale
-from repro.backends.base import single_port_plan
+from pinned import pinned_scale, pinned_window, traces_crc, write_artifact
+
+from repro.backends import NetsimBackend
 from repro.core.counters import bind_tx_bytes
 from repro.core.sampler import HighResSampler, SamplerConfig
-from repro.units import ms, seconds
 
 #: Pre-performance-pass rate on the reference machine for this exact
-#: workload (window phase, cache, pinned scale below).  Kept as recorded
+#: workload (window phase, cache, ``pinned.pinned_scale``).  Kept as recorded
 #: history so the artifact can report the speedup ratio; the pass/fail
 #: floor is machine-tolerant and separate.
 RECORDED_BASELINE_EVENTS_PER_SEC = 197_171
@@ -53,45 +49,10 @@ MIN_EVENTS_PER_SEC = 120_000
 PINNED_WINDOW_CRC = 0x5E144EF5
 
 
-def _pinned_scale() -> NetsimScale:
-    """The pre-pass default scale, pinned so the benchmark workload (and
-    its golden CRC and baseline) stay comparable across releases even as
-    the backend's default scale grows."""
-    return NetsimScale(
-        n_downlinks=8,
-        n_uplinks=4,
-        n_remote_hosts=12,
-        warmup_ns=ms(10),
-        max_window_ns=ms(20),
-    )
-
-
-def _window():
-    plan = single_port_plan("cache", 1, seconds(2), seed=0, port="down0")
-    return plan.windows[0]
-
-
-def _traces_crc(traces) -> int:
-    crc = 0
-    for name in sorted(traces):
-        trace = traces[name]
-        crc = zlib.crc32(trace.values.tobytes(), crc)
-        crc = zlib.crc32(trace.timestamps_ns.tobytes(), crc)
-    return crc
-
-
-def _write_artifact(payload: dict) -> Path:
-    directory = Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "benchmarks/artifacts"))
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "netsim_events_per_sec.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def test_netsim_window_events_per_sec(benchmark):
     """Engine throughput on the backend window workload, CRC-locked."""
-    backend = NetsimBackend(seed=0, scale=_pinned_scale())
-    window = _window()
+    backend = NetsimBackend(seed=0, scale=pinned_scale())
+    window = pinned_window()
 
     def run():
         # The backend's own window recipe, split open so warmup can be
@@ -111,7 +72,7 @@ def test_netsim_window_events_per_sec(benchmark):
 
     report, events, wall_s = benchmark.pedantic(run, rounds=3, iterations=1)
 
-    crc = _traces_crc(report.traces)
+    crc = traces_crc(report.traces)
     assert crc == PINNED_WINDOW_CRC, (
         f"netsim window traces changed (crc {crc:#x} != {PINNED_WINDOW_CRC:#x}): "
         "a faster engine that alters a single byte is a determinism break"
@@ -133,7 +94,7 @@ def test_netsim_window_events_per_sec(benchmark):
         "min_events_per_sec_floor": MIN_EVENTS_PER_SEC,
         "golden_crc_ok": True,
     }
-    path = _write_artifact(payload)
+    path = write_artifact("netsim_events_per_sec.json", payload)
     print(f"\nnetsim bench: {payload['events_per_sec']:,} events/s "
           f"({payload['ratio_vs_recorded_baseline']}x recorded baseline), "
           f"{payload['sim_ns_per_wall_s']:,} sim-ns/wall-s -> {path}")
@@ -146,7 +107,7 @@ def test_netsim_default_scale_window_affordable(benchmark):
     stay cheaper per window than the old 8-down/20 ms default was before
     the performance pass (~1 s on the reference machine)."""
     backend = NetsimBackend(seed=0)
-    window = _window()
+    window = pinned_window()
 
     def run():
         return backend.sample_window(window)

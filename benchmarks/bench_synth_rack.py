@@ -22,13 +22,11 @@ The artifact lands in ``benchmarks/artifacts/synth_rack_ticks_per_sec.json``
 (override the directory with ``REPRO_BENCH_ARTIFACT_DIR``).
 """
 
-import json
-import os
 import time
 import zlib
-from pathlib import Path
 
 import numpy as np
+from pinned import write_artifact
 
 from repro.synth.rackmodel import RackSynthesizer
 
@@ -63,14 +61,6 @@ def _golden_web_crc() -> int:
     return zlib.crc32(rng.random(4).tobytes(), crc)
 
 
-def _write_artifact(payload: dict) -> Path:
-    directory = Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "benchmarks/artifacts"))
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "synth_rack_ticks_per_sec.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def test_synth_rack_ticks_per_sec():
     crc = _golden_web_crc()
     assert crc == GOLDEN_WEB_CRC, (
@@ -97,7 +87,7 @@ def test_synth_rack_ticks_per_sec():
         "min_ticks_per_sec_floor": MIN_TICKS_PER_SEC,
         "golden_crc_ok": True,
     }
-    path = _write_artifact(payload)
+    path = write_artifact("synth_rack_ticks_per_sec.json", payload)
     print(f"\nsynth rack bench: {payload['ticks_per_sec']:,} rack ticks/s "
           f"({payload['ratio_vs_recorded_baseline']}x recorded baseline) -> {path}")
 

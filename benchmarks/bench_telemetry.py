@@ -1,6 +1,6 @@
 """Telemetry overhead guard: instrumentation must stay out of the hot path.
 
-Runs the pinned netsim window workload from ``bench_netsim`` twice per
+Runs the pinned netsim window workload of ``bench_netsim`` twice per
 round — once with the ambient registry live, once with telemetry
 disabled (the null-object registry) — interleaved so machine drift hits
 both configurations equally.  Min-of-rounds wall time is compared and
@@ -22,17 +22,13 @@ Artifacts land in ``benchmarks/artifacts/`` (override the directory with
   run produced, stamped with the build-info header.
 """
 
-import json
-import os
 import time
-import zlib
-from pathlib import Path
 
-from repro.backends import NetsimBackend, NetsimScale
-from repro.backends.base import single_port_plan
+from pinned import pinned_scale, pinned_window, traces_crc, write_artifact
+
+from repro.backends import NetsimBackend
 from repro.telemetry.export import snapshot_with_header
 from repro.telemetry.metrics import get_registry, scoped_registry, set_enabled
-from repro.units import ms, seconds
 
 #: ISSUE acceptance bound: telemetry may cost < 5 % events/sec.  Compared
 #: against min-of-rounds wall time, which filters scheduler noise.
@@ -41,47 +37,15 @@ MAX_OVERHEAD_FRACTION = 0.05
 ROUNDS = 5
 
 
-def _pinned_scale() -> NetsimScale:
-    """Same pinned pre-pass scale as ``bench_netsim`` so the two
-    benchmarks describe the same workload."""
-    return NetsimScale(
-        n_downlinks=8,
-        n_uplinks=4,
-        n_remote_hosts=12,
-        warmup_ns=ms(10),
-        max_window_ns=ms(20),
-    )
-
-
-def _window():
-    plan = single_port_plan("cache", 1, seconds(2), seed=0, port="down0")
-    return plan.windows[0]
-
-
-def _traces_crc(traces) -> int:
-    crc = 0
-    for name in sorted(traces):
-        trace = traces[name]
-        crc = zlib.crc32(trace.values.tobytes(), crc)
-        crc = zlib.crc32(trace.timestamps_ns.tobytes(), crc)
-    return crc
-
-
-def _artifact_dir() -> Path:
-    directory = Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "benchmarks/artifacts"))
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
 def _timed_window(backend, window) -> tuple[float, int]:
     start = time.perf_counter()
     traces = backend.sample_window(window)
-    return time.perf_counter() - start, _traces_crc(traces)
+    return time.perf_counter() - start, traces_crc(traces)
 
 
 def test_telemetry_overhead_below_bound():
-    backend = NetsimBackend(seed=0, scale=_pinned_scale())
-    window = _window()
+    backend = NetsimBackend(seed=0, scale=pinned_scale())
+    window = pinned_window()
 
     enabled_times: list[float] = []
     disabled_times: list[float] = []
@@ -130,7 +94,6 @@ def test_telemetry_overhead_below_bound():
     best_disabled = min(disabled_times)
     overhead = best_enabled / best_disabled - 1.0
 
-    directory = _artifact_dir()
     overhead_payload = {
         "workload": "cache window, pinned 8-down/4-up scale, 20 ms window",
         "rounds": ROUNDS,
@@ -140,12 +103,8 @@ def test_telemetry_overhead_below_bound():
         "max_overhead_fraction": MAX_OVERHEAD_FRACTION,
         "trace_crc": hex(crcs.pop()),
     }
-    (directory / "telemetry_overhead.json").write_text(
-        json.dumps(overhead_payload, indent=2, sort_keys=True) + "\n"
-    )
-    (directory / "telemetry_metrics.json").write_text(
-        json.dumps(metrics_payload, indent=2, sort_keys=True) + "\n"
-    )
+    write_artifact("telemetry_overhead.json", overhead_payload)
+    write_artifact("telemetry_metrics.json", metrics_payload)
     print(
         f"\ntelemetry bench: enabled {best_enabled:.3f}s vs disabled "
         f"{best_disabled:.3f}s -> {overhead:+.2%} overhead "

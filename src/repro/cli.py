@@ -18,7 +18,8 @@ import argparse
 import sys
 import time
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.errors import ReproError
+from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 from repro.obs import get_logger, setup_logging
 
 _log = get_logger("cli")
@@ -281,7 +282,11 @@ def _dispatch(args) -> int:
     if args.resume and not args.checkpoint:
         _log.error("--resume requires --checkpoint DIR")
         return 2
-    targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    if args.experiment == "all":
+        targets = list(EXPERIMENTS)
+    else:
+        get_experiment(args.experiment)  # an unknown id raises ConfigError up front
+        targets = [args.experiment]
     json_payload = []
     if args.workers < 1:
         _log.error("--workers must be at least 1")
@@ -304,8 +309,12 @@ def _dispatch(args) -> int:
         _log.debug("running %s with %s", experiment_id, kwargs or "defaults")
         from repro.telemetry import profile_stage, span
 
-        with span("experiment", id=experiment_id), profile_stage(experiment_id):
-            result = run_experiment(experiment_id, seed=args.seed, **kwargs)
+        try:
+            with span("experiment", id=experiment_id), profile_stage(experiment_id):
+                result = run_experiment(experiment_id, seed=args.seed, **kwargs)
+        except ReproError as exc:
+            _log.error("%s failed: %s", experiment_id, exc)
+            return 1
         if args.json:
             payload = result.to_dict(include_series=args.series)
             payload["seconds"] = round(time.time() - start, 2)

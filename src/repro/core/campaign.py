@@ -521,11 +521,10 @@ class MeasurementCampaign:
         if self.checkpoint_dir is None:
             return
         if traces:
-            archive = self._trace_path(outcome.index)
-            save_traces(archive, traces)
+            size = save_traces(self._trace_path(outcome.index), traces)
             get_registry().counter(
                 "campaign.checkpoint_bytes", "bytes persisted to window checkpoints"
-            ).inc(archive.stat().st_size)
+            ).inc(size)
         _write_json_atomic(
             self._record_path(outcome.index),
             {

@@ -6,6 +6,13 @@ collection) with enough metadata to reconstruct full
 :class:`~repro.core.samples.CounterTrace` objects — name, semantics, and
 line rate included.
 
+Archives are written with deflate level 1 rather than zlib's default
+level 6: on campaign counter data level 6 costs about five times the
+write time for about 6 % fewer bytes.  The member layout (one
+``<key>.npy`` per array) is the one :func:`numpy.savez_compressed`
+produces, so archives open with plain :func:`numpy.load` and archives
+written at any deflate level load alike.
+
 Archives are written atomically (write to a temporary file, then rename)
 and carry per-trace length/CRC32 integrity records, so a truncated or
 corrupted file is detected as :class:`~repro.errors.CorruptTraceError`
@@ -16,6 +23,7 @@ instead of being silently parsed as a shorter trace.  Version-1 archives
 from __future__ import annotations
 
 import os
+import zipfile
 import zlib
 from pathlib import Path
 
@@ -35,15 +43,16 @@ def _crc(array: np.ndarray) -> int:
 
 
 def _normalized(path: Path) -> Path:
-    """The final on-disk name (numpy appends .npz when absent)."""
+    """The final on-disk name (``.npz`` appended when absent, as numpy does)."""
     return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
 
 
-def save_traces(path: str | Path, traces: dict[str, CounterTrace]) -> None:
+def save_traces(path: str | Path, traces: dict[str, CounterTrace]) -> int:
     """Write a named collection of traces to one compressed archive.
 
     The archive appears atomically: readers either see the previous file
-    or the complete new one, never a half-written archive.
+    or the complete new one, never a half-written archive.  Returns the
+    archive's size in bytes.
     """
     if not traces:
         raise DataFormatError("refusing to write an empty trace archive")
@@ -70,7 +79,14 @@ def save_traces(path: str | Path, traces: dict[str, CounterTrace]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}.npz")
     try:
-        np.savez_compressed(tmp, **payload)
+        with zipfile.ZipFile(
+            tmp, "w", compression=zipfile.ZIP_DEFLATED, compresslevel=1, allowZip64=True
+        ) as archive:
+            for key, array in payload.items():
+                # numpy.savez forces zip64 on every member too: without it
+                # zipfile refuses to stream a member past 2 GiB
+                with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, array, allow_pickle=False)
         size = tmp.stat().st_size
         os.replace(tmp, path)
     finally:
@@ -80,6 +96,7 @@ def save_traces(path: str | Path, traces: dict[str, CounterTrace]) -> None:
     registry.counter(
         "traceio.bytes_written", "compressed bytes written to trace archives"
     ).inc(size)
+    return size
 
 
 def _verify(prefix: str, archive, trace: CounterTrace, path: Path) -> None:

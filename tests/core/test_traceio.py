@@ -1,11 +1,14 @@
 """Trace archive persistence tests."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.core.samples import CounterTrace, ValueKind
 from repro.core.traceio import load_traces, save_traces
 from repro.errors import CorruptTraceError, DataFormatError
+from repro.telemetry.metrics import scoped_registry
 from repro.units import gbps, us
 
 
@@ -61,6 +64,79 @@ class TestRoundTrip:
             loaded["down0.tx_bytes"].utilization(),
             original["down0.tx_bytes"].utilization(),
         )
+
+    def test_bit_exact_across_dtypes(self, tmp_path):
+        rng = np.random.default_rng(7)
+        n = 1_000
+        stamps = np.cumsum(rng.integers(20_000, 30_000, n)).astype(np.int64)
+        original = {
+            trace.name: trace
+            for trace in (
+                CounterTrace(
+                    stamps,
+                    np.cumsum(rng.integers(0, 2**40, n)).astype(np.int64),
+                    ValueKind.CUMULATIVE,
+                    name="down0.tx_bytes",
+                    rate_bps=gbps(10),
+                ),
+                CounterTrace(
+                    stamps,
+                    np.concatenate([rng.standard_normal(n - 3), [-0.0, np.inf, 1e-308]]),
+                    ValueKind.GAUGE,
+                    name="down0.util",
+                ),
+                CounterTrace(
+                    stamps,
+                    np.cumsum(rng.integers(0, 50, (n, 6)), axis=0).astype(np.int64),
+                    ValueKind.CUMULATIVE,
+                    name="down0.tx_size_hist",
+                ),
+            )
+        }
+        path = tmp_path / "window.npz"
+        save_traces(path, original)
+        loaded = load_traces(path)
+        for name, trace in original.items():
+            restored = loaded[name]
+            for before, after in (
+                (trace.timestamps_ns, restored.timestamps_ns),
+                (trace.values, restored.values),
+            ):
+                assert after.dtype == before.dtype
+                assert after.shape == before.shape
+                assert after.tobytes() == before.tobytes()
+
+
+class TestArchiveFormat:
+    def test_opens_with_plain_np_load_and_members_are_deflated(self, tmp_path):
+        path = tmp_path / "w.npz"
+        save_traces(path, sample_traces())
+        with np.load(path, allow_pickle=False) as archive:
+            assert int(archive["__repro_trace_archive__"][0]) == 2
+            values = archive["t0.values"]
+        assert np.array_equal(values, sample_traces()["down0.tx_bytes"].values)
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        expected = {f"{key}.npy" for key in _raw_members(path)}
+        assert {member.filename for member in members} == expected
+        assert all(member.compress_type == zipfile.ZIP_DEFLATED for member in members)
+
+    def test_returns_archive_size(self, tmp_path):
+        path = tmp_path / "w.npz"
+        assert save_traces(path, sample_traces()) == path.stat().st_size
+
+    def test_legacy_level6_savez_archive_loads_and_verifies(self, tmp_path):
+        path = tmp_path / "w.npz"
+        save_traces(path, sample_traces())
+        members = _raw_members(path)
+        np.savez_compressed(path, **members)  # numpy's writer, zlib level 6
+        with scoped_registry() as registry:
+            loaded = load_traces(path)
+            verified = registry.snapshot()["counters"]["traceio.crc_verified"]
+        assert verified == len(sample_traces())
+        for name, trace in sample_traces().items():
+            assert loaded[name].values.tobytes() == trace.values.tobytes()
+            assert loaded[name].timestamps_ns.tobytes() == trace.timestamps_ns.tobytes()
 
 
 class TestValidation:
@@ -175,5 +251,25 @@ class TestAtomicity:
         before = path.read_bytes()
         with pytest.raises(DataFormatError):
             save_traces(path, {"wrong": sample_traces()["down0.tx_bytes"]})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["w.npz"]
+
+    def test_crash_mid_write_preserves_existing_archive(self, tmp_path, monkeypatch):
+        path = tmp_path / "w.npz"
+        save_traces(path, sample_traces())
+        before = path.read_bytes()
+        real_write_array = np.lib.format.write_array
+        calls = []
+
+        def crash_on_second_member(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real_write_array(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", crash_on_second_member)
+        with pytest.raises(OSError, match="disk full"):
+            save_traces(path, sample_traces())
+        assert len(calls) == 2
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["w.npz"]

@@ -81,3 +81,28 @@ def test_chaos_flags_parsed():
 def test_resume_without_checkpoint_rejected(capsys):
     assert main(["ext-chaos", "--resume"]) == 2
     assert "requires --checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("files", "extra", "message"),
+    [
+        ({"manifest.jsonl": ""}, [], "outside the checkpoint layout"),
+        (
+            {"checkpoint.json": '{"version": 2, "plan_digest": "other", "n_windows": 3}'},
+            ["--resume"],
+            "different campaign plan",
+        ),
+    ],
+    ids=["stray-file", "other-plan"],
+)
+def test_refused_checkpoint_is_one_line_error(tmp_path, capsys, files, extra, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(["ext-chaos", "--checkpoint", str(tmp_path), "-q", *extra]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("ERROR repro.cli: ext-chaos failed:")
+    assert message in lines[0]
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
